@@ -25,8 +25,8 @@
 //!
 //! `--case` restricts the run to a single workload (an unknown name
 //! lists the available ones); the JSON then contains only that
-//! workload's section and omits the cross-PR `history` block, which
-//! needs the full run's headline numbers.
+//! workload's section and omits the cross-PR `history` block of frozen
+//! per-PR headline numbers, which only a full run writes.
 //!
 //! With `BENCH_ASSERT=1` in the environment the run additionally asserts
 //! that the filter kernel's dense and two-constant cases are at least at
@@ -45,11 +45,10 @@ use std::time::{Duration, Instant};
 use dynamite_bench_suite::by_name;
 use dynamite_core::{synthesize, SynthesisConfig};
 use dynamite_datalog::{
-    legacy, pool, reorder_default, DurableEvaluator, DurableOptions, Evaluator, Governor,
+    evaluate, legacy, pool, reorder_default, DurableEvaluator, DurableOptions, Evaluator, Governor,
     IncrementalEvaluator, Program, ResourceLimits, RuleCacheHandle, ServedEvaluator, WorkerPool,
 };
-use dynamite_instance::hash::FxHashMap;
-use dynamite_instance::{to_facts, ColumnIndex, Database, TupleStore, Value};
+use dynamite_instance::{to_facts, Database, TupleStore, Value};
 
 struct EvalCase {
     name: String,
@@ -83,7 +82,7 @@ fn time_reps(reps: usize, mut f: impl FnMut()) -> f64 {
 /// One golden-program evaluation case: `reps` evaluations of the same
 /// program against the same EDB through both engines.
 fn eval_case(name: &str, program: &Program, facts: &Database, reps: usize) -> EvalCase {
-    let ctx = Evaluator::from_database(facts);
+    let ctx = Evaluator::new(facts.clone());
     let facts_out = ctx.eval(program).expect("evaluates").num_facts();
     let context_secs = time_reps(reps, || {
         ctx.eval(program).expect("evaluates");
@@ -121,7 +120,7 @@ impl GovernanceCase {
 /// 1024 tuples plus per-round and per-unique-insert counter bumps, so
 /// the ratio should sit within run-to-run noise.
 fn governance_case(program: &Program, facts: &Database, reps: usize) -> GovernanceCase {
-    let ctx = Evaluator::from_database(facts);
+    let ctx = Evaluator::new(facts.clone());
     let limits = ResourceLimits::none()
         .with_timeout(Duration::from_secs(3600))
         .with_fact_budget(u64::MAX / 2)
@@ -223,7 +222,7 @@ struct RepeatedCase {
 /// per-round index builds); the context path prepares once.
 fn repeated_candidates(facts: &Database, programs: &[Program]) -> RepeatedCase {
     // Warm-up both paths once.
-    let warm = Evaluator::from_database(facts);
+    let warm = Evaluator::new(facts.clone());
     for p in programs {
         warm.eval(p).expect("candidate evaluates");
         legacy::evaluate(p, facts).expect("candidate evaluates");
@@ -233,7 +232,7 @@ fn repeated_candidates(facts: &Database, programs: &[Program]) -> RepeatedCase {
     // the pool several times so the measurement is stable.
     const SWEEPS: usize = 10;
     let start = Instant::now();
-    let ctx = Evaluator::from_database(facts); // part of the measured cost
+    let ctx = Evaluator::new(facts.clone()); // part of the measured cost
     for _ in 0..SWEEPS {
         for p in programs {
             ctx.eval(p).expect("candidate evaluates");
@@ -255,62 +254,6 @@ fn repeated_candidates(facts: &Database, programs: &[Program]) -> RepeatedCase {
         legacy_secs,
         context_secs,
     }
-}
-
-struct IndexBuildCase {
-    rows: usize,
-    key_cols: Vec<usize>,
-    reps: usize,
-    row_secs: f64,
-    columnar_secs: f64,
-}
-
-impl IndexBuildCase {
-    fn speedup(&self) -> f64 {
-        self.row_secs / self.columnar_secs.max(1e-12)
-    }
-}
-
-/// Index-build microbenchmark: the columnar `ColumnIndex::build` sweep
-/// over `TupleStore` column slices vs the former row-oriented layout
-/// (`Arc<[Value]>` tuples, one pointer chase per tuple per key column).
-fn index_build_case(store: &TupleStore, key_cols: &[usize], reps: usize) -> IndexBuildCase {
-    // Materialize the old representation once, outside the timed region.
-    let row_tuples: Vec<Arc<[Value]>> = store.iter().map(|r| Arc::from(r.to_vec())).collect();
-
-    let columnar_secs = time_reps(reps, || {
-        std::hint::black_box(ColumnIndex::build(store, key_cols));
-    });
-    let row_secs = time_reps(reps, || {
-        // The pre-columnar build: iterate shared tuples, chase each
-        // pointer, gather the key per tuple.
-        let mut map: FxHashMap<Vec<Value>, Vec<usize>> = FxHashMap::default();
-        for (i, t) in row_tuples.iter().enumerate() {
-            let key: Vec<Value> = key_cols.iter().map(|&c| t[c]).collect();
-            map.entry(key).or_default().push(i);
-        }
-        std::hint::black_box(map);
-    });
-    IndexBuildCase {
-        rows: store.len(),
-        key_cols: key_cols.to_vec(),
-        reps,
-        row_secs,
-        columnar_secs,
-    }
-}
-
-/// A join-shaped relation for the index-build microbenchmark, loaded
-/// through the bulk columnar path.
-fn index_build_store(rows: usize) -> TupleStore {
-    let strings = ["chemical", "electric", "mixed", "unknown"];
-    let cols: Vec<Vec<Value>> = vec![
-        (0..rows).map(|i| Value::Int((i % 97) as i64)).collect(),
-        (0..rows).map(|i| Value::str(strings[i % 4])).collect(),
-        (0..rows).map(|i| Value::Id((i % 53) as u64)).collect(),
-        (0..rows).map(|i| Value::Int(i as i64)).collect(),
-    ];
-    TupleStore::from_columns(cols)
 }
 
 struct ScalingCase {
@@ -428,8 +371,8 @@ fn scalar_prescan(store: &TupleStore, consts: &[(usize, Value)]) -> Vec<u32> {
     ids
 }
 
-/// A filter-shaped relation with *shuffled* column contents. The cyclic
-/// `i % k` columns of `index_build_store` would let the branch predictor
+/// A filter-shaped relation with *shuffled* column contents. Cyclic
+/// `i % k` columns would let the branch predictor
 /// learn the scalar pre-scan's append branch perfectly, which real
 /// (unordered) data never does — the unpredictability is exactly what the
 /// batched kernel's branch-free dense path is for.
@@ -592,7 +535,7 @@ fn update_stream_case() -> UpdateStreamCase {
 
         apply_shadow(&mut shadow, &ins, &dels);
         let t = Instant::now();
-        let scratch = Evaluator::eval_once(&program, &shadow).expect("evaluates");
+        let scratch = evaluate(&program, &shadow).expect("evaluates");
         full += t.elapsed().as_secs_f64();
 
         let maintained = inc.output();
@@ -682,7 +625,7 @@ fn point_query_case() -> PointQueryCase {
         }),
     );
     let edges = db.num_facts();
-    let ctx = Evaluator::from_database(&db);
+    let ctx = Evaluator::new(db.clone());
     let full_out = ctx.eval(&program).expect("evaluates");
     let closure_facts = full_out.num_facts();
 
@@ -997,6 +940,23 @@ fn synth_case(name: &str) -> SynthCase {
 }
 
 /// Workload names `--case` accepts, in run order.
+/// The `history` section: each PR's headline numbers exactly as first
+/// committed to `BENCH_eval.json` (PRs 9 and 10 as committed together by
+/// PR 10 — PR 9's own commit did not regenerate the file). Append-only:
+/// a new PR adds its own entry here and never rewrites an earlier one.
+const HISTORY: &str = r#"  "history": [
+    {"pr": 1, "storage": "row (Arc<[Value]>)", "repeated_candidates_context_secs": 0.003963, "repeated_candidates_speedup": 3.90},
+    {"pr": 2, "storage": "columnar (TupleStore)", "repeated_candidates_context_secs": 0.002964, "repeated_candidates_speedup": 3.91},
+    {"pr": 3, "storage": "columnar + worker pool", "repeated_candidates_context_secs": 0.002893, "repeated_candidates_speedup": 3.83},
+    {"pr": 4, "storage": "columnar + planner + batched prescan", "repeated_candidates_context_secs": 0.002764, "repeated_candidates_speedup": 4.49, "join_ordering_speedup": 20.23},
+    {"pr": 5, "storage": "SoA tag/payload streams + SIMD bitmask kernel", "repeated_candidates_context_secs": 0.003042, "repeated_candidates_speedup": 4.15, "join_ordering_speedup": 11.42, "batch_filter_dense_100k_secs": 0.000043844},
+    {"pr": 6, "storage": "SoA + resource governor (cooperative checks)", "repeated_candidates_context_secs": 0.002831, "repeated_candidates_speedup": 4.65, "join_ordering_speedup": 19.51, "governance_overhead": 1.025},
+    {"pr": 7, "storage": "SoA + incremental maintenance (DRed + warm semi-naive deltas)", "repeated_candidates_context_secs": 0.003292, "repeated_candidates_speedup": 4.14, "join_ordering_speedup": 21.12, "update_stream_speedup": 5.85, "update_stream_maintain_secs_per_batch": 0.274658},
+    {"pr": 8, "storage": "SoA + durable checkpoint/WAL (crash recovery)", "repeated_candidates_context_secs": 0.002795, "repeated_candidates_speedup": 4.38, "join_ordering_speedup": 18.59, "update_stream_speedup": 6.57, "durability_wal_overhead": 0.851},
+    {"pr": 9, "storage": "SoA + crash harness, scrubber, drift audit, group commit", "repeated_candidates_context_secs": 0.003123, "repeated_candidates_speedup": 4.39, "join_ordering_speedup": 18.80, "update_stream_speedup": 6.23, "durability_wal_overhead": 0.848, "durability_scrub_secs": 1.390029, "durability_audit_secs": 3.043830},
+    {"pr": 10, "storage": "SoA + demand-driven query serving (magic sets + subsumptive cache)", "repeated_candidates_context_secs": 0.003123, "repeated_candidates_speedup": 4.39, "join_ordering_speedup": 18.80, "update_stream_speedup": 6.23, "point_query_magic_speedup": 685.60, "point_query_cached_speedup": 216168.76}
+  ]"#;
+
 const CASE_NAMES: &[&str] = &[
     "golden",
     "transitive_closure",
@@ -1008,7 +968,6 @@ const CASE_NAMES: &[&str] = &[
     "point_query",
     "durability",
     "parallel_scaling",
-    "index_build",
     "synthesis",
 ];
 
@@ -1322,25 +1281,6 @@ fn main() {
         Vec::new()
     };
 
-    // --- index builds: columnar sweep vs the former row-oriented chase.
-    let index_cases: Vec<IndexBuildCase> = if run("index_build") {
-        let store = index_build_store(50_000);
-        [vec![0usize], vec![0, 2], vec![1, 2, 3]]
-            .into_iter()
-            .map(|cols| {
-                let c = index_build_case(&store, &cols, 40);
-                eprintln!(
-                    "index_build cols {:?}: {:.2}x columnar speedup",
-                    c.key_cols,
-                    c.speedup()
-                );
-                c
-            })
-            .collect()
-    } else {
-        Vec::new()
-    };
-
     // --- synthesis end-to-end (the consumer of all of the above).
     let synth_cases: Vec<SynthCase> = if run("synthesis") {
         ["Tencent-1", "Bike-3", "MLB-1"]
@@ -1395,26 +1335,6 @@ fn main() {
             r.context_secs,
             r.legacy_secs / r.context_secs.max(1e-12),
         ));
-    }
-    if !index_cases.is_empty() {
-        let mut s = String::from("  \"index_build\": [\n");
-        for (i, c) in index_cases.iter().enumerate() {
-            let cols: Vec<String> = c.key_cols.iter().map(usize::to_string).collect();
-            s.push_str(&format!(
-                "    {{\"rows\": {}, \"key_cols\": [{}], \"reps\": {}, \
-                 \"row_secs_per_build\": {:.6}, \"columnar_secs_per_build\": {:.6}, \
-                 \"speedup\": {:.2}}}{}\n",
-                c.rows,
-                cols.join(", "),
-                c.reps,
-                c.row_secs,
-                c.columnar_secs,
-                c.speedup(),
-                if i + 1 < index_cases.len() { "," } else { "" }
-            ));
-        }
-        s.push_str("  ]");
-        sections.push(s);
     }
     if let Some(o) = &ordering {
         sections.push(format!(
@@ -1535,116 +1455,10 @@ fn main() {
         s.push_str("  ]}");
         sections.push(s);
     }
-    // Perf trajectory: earlier PRs' headline numbers kept verbatim (so a
-    // fresh run still records where the engine came from), plus this PR's
-    // measured headline. Needs the full run's numbers, so filtered runs
-    // skip it.
+    // Perf trajectory: earlier PRs' headline numbers, frozen. Filtered
+    // runs skip it, as they skip every section they did not measure.
     if case_filter.is_none() {
-        let repeated = repeated.as_ref().expect("full run");
-        let ordering = ordering.as_ref().expect("full run");
-        let governance = governance.as_ref().expect("full run");
-        let update = update.as_ref().expect("full run");
-        let durability = durability.as_ref().expect("full run");
-        let mut s = String::from(
-            "  \"history\": [\n    {\"pr\": 1, \"storage\": \"row (Arc<[Value]>)\", \
-             \"repeated_candidates_context_secs\": 0.003963, \
-             \"repeated_candidates_speedup\": 3.90},\n    {\"pr\": 2, \
-             \"storage\": \"columnar (TupleStore)\", \
-             \"repeated_candidates_context_secs\": 0.002964, \
-             \"repeated_candidates_speedup\": 3.91},\n    {\"pr\": 3, \
-             \"storage\": \"columnar + worker pool\", \
-             \"repeated_candidates_context_secs\": 0.002893, \
-             \"repeated_candidates_speedup\": 3.83},\n    {\"pr\": 4, \
-             \"storage\": \"columnar + planner + batched prescan\", \
-             \"repeated_candidates_context_secs\": 0.002764, \
-             \"repeated_candidates_speedup\": 4.49, \
-             \"join_ordering_speedup\": 20.23},\n",
-        );
-        let dense_100k = batch_cases
-            .iter()
-            .find(|c| c.regime == "dense" && c.rows == 100_000);
-        s.push_str(&format!(
-            "    {{\"pr\": 5, \"storage\": \"SoA tag/payload streams + SIMD bitmask kernel\", \
-             \"repeated_candidates_context_secs\": {:.6}, \
-             \"repeated_candidates_speedup\": {:.2}, \
-             \"join_ordering_speedup\": {:.2}, \
-             \"batch_filter_dense_100k_secs\": {:.9}}},\n",
-            repeated.context_secs,
-            repeated.legacy_secs / repeated.context_secs.max(1e-12),
-            ordering.speedup(),
-            dense_100k.map_or(0.0, |c| c.batched_secs),
-        ));
-        s.push_str(&format!(
-            "    {{\"pr\": 6, \"storage\": \"SoA + resource governor (cooperative checks)\", \
-             \"repeated_candidates_context_secs\": {:.6}, \
-             \"repeated_candidates_speedup\": {:.2}, \
-             \"join_ordering_speedup\": {:.2}, \
-             \"governance_overhead\": {:.3}}},\n",
-            repeated.context_secs,
-            repeated.legacy_secs / repeated.context_secs.max(1e-12),
-            ordering.speedup(),
-            governance.overhead(),
-        ));
-        s.push_str(&format!(
-            "    {{\"pr\": 7, \"storage\": \"SoA + incremental maintenance (DRed + warm \
-             semi-naive deltas)\", \"repeated_candidates_context_secs\": {:.6}, \
-             \"repeated_candidates_speedup\": {:.2}, \
-             \"join_ordering_speedup\": {:.2}, \
-             \"update_stream_speedup\": {:.2}, \
-             \"update_stream_maintain_secs_per_batch\": {:.6}}},\n",
-            repeated.context_secs,
-            repeated.legacy_secs / repeated.context_secs.max(1e-12),
-            ordering.speedup(),
-            update.speedup(),
-            update.maintain_secs,
-        ));
-        s.push_str(&format!(
-            "    {{\"pr\": 8, \"storage\": \"SoA + durable checkpoint/WAL (crash recovery)\", \
-             \"repeated_candidates_context_secs\": {:.6}, \
-             \"repeated_candidates_speedup\": {:.2}, \
-             \"join_ordering_speedup\": {:.2}, \
-             \"update_stream_speedup\": {:.2}, \
-             \"durability_wal_overhead\": {:.3}}},\n",
-            repeated.context_secs,
-            repeated.legacy_secs / repeated.context_secs.max(1e-12),
-            ordering.speedup(),
-            update.speedup(),
-            durability.overhead(),
-        ));
-        s.push_str(&format!(
-            "    {{\"pr\": 9, \"storage\": \"SoA + crash harness, scrubber, drift audit, \
-             group commit\", \"repeated_candidates_context_secs\": {:.6}, \
-             \"repeated_candidates_speedup\": {:.2}, \
-             \"join_ordering_speedup\": {:.2}, \
-             \"update_stream_speedup\": {:.2}, \
-             \"durability_wal_overhead\": {:.3}, \
-             \"durability_scrub_secs\": {:.6}, \
-             \"durability_audit_secs\": {:.6}}},\n",
-            repeated.context_secs,
-            repeated.legacy_secs / repeated.context_secs.max(1e-12),
-            ordering.speedup(),
-            update.speedup(),
-            durability.overhead(),
-            durability.scrub_secs,
-            durability.audit_secs,
-        ));
-        let point = point.as_ref().expect("full run");
-        s.push_str(&format!(
-            "    {{\"pr\": 10, \"storage\": \"SoA + demand-driven query serving (magic sets \
-             + subsumptive cache)\", \"repeated_candidates_context_secs\": {:.6}, \
-             \"repeated_candidates_speedup\": {:.2}, \
-             \"join_ordering_speedup\": {:.2}, \
-             \"update_stream_speedup\": {:.2}, \
-             \"point_query_magic_speedup\": {:.2}, \
-             \"point_query_cached_speedup\": {:.2}}}\n  ]",
-            repeated.context_secs,
-            repeated.legacy_secs / repeated.context_secs.max(1e-12),
-            ordering.speedup(),
-            update.speedup(),
-            point.magic_speedup(),
-            point.cached_speedup(),
-        ));
-        sections.push(s);
+        sections.push(HISTORY.to_string());
     }
     if !synth_cases.is_empty() {
         let mut s = String::from("  \"synthesis\": [\n");
@@ -1665,4 +1479,27 @@ fn main() {
     std::fs::write(&out_path, &j).expect("write BENCH_eval.json");
     println!("{j}");
     eprintln!("wrote {out_path}");
+}
+
+#[cfg(test)]
+mod tests {
+    use super::HISTORY;
+
+    /// The trajectory is append-only: the emitted history for PRs 1–10 is
+    /// the frozen constant, byte for byte, and it matches the `history`
+    /// array of the committed `BENCH_eval.json`.
+    #[test]
+    fn history_is_frozen_and_matches_committed_json() {
+        let json = concat!(env!("CARGO_MANIFEST_DIR"), "/../../BENCH_eval.json");
+        let committed = std::fs::read_to_string(json).expect("read BENCH_eval.json");
+        let start = committed.find("  \"history\": [").expect("history section");
+        let len = committed[start..].find("\n  ]").expect("history end") + "\n  ]".len();
+        assert_eq!(&committed[start..start + len], HISTORY);
+        for pr in 1..=10 {
+            assert!(
+                HISTORY.contains(&format!("{{\"pr\": {pr}, ")),
+                "PR {pr} entry"
+            );
+        }
+    }
 }

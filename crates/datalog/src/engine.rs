@@ -55,10 +55,10 @@
 //! for every thread count, including the sequential `threads == 1`
 //! fallback.
 //!
-//! One-shot callers go through [`Evaluator::eval_once`], which borrows the
-//! EDB (no snapshot clone) and swaps the shared `RwLock` index cache for a
-//! single-use local cache — the wrapper `evaluate()` can never amortize a
-//! shared cache, so it should not pay for one.
+//! The one-shot [`evaluate`](crate::evaluate) runs the same `EvalRun`
+//! over the borrowed EDB (no snapshot clone) with a call-local index cache
+//! and no cross-evaluation memo. The cache lock is taken only while a
+//! round's jobs are prepared, never per tuple.
 //!
 //! # Invariants worth knowing before editing
 //!
@@ -84,13 +84,13 @@
 //!   drops the mutated relation's indexes wholesale (they rebuild
 //!   lazily), never patches them in place.
 
-use std::cell::RefCell;
-use std::sync::{Arc, OnceLock, RwLock};
+use std::sync::{Arc, RwLock};
 
 use dynamite_instance::hash::FxHashMap;
 use dynamite_instance::{ColumnIndex, Database, Relation, RowRef, Value};
 
 use crate::ast::{Atom, Literal, Program, Rule, Term};
+use crate::env;
 use crate::eval::{check_arities, rule_stratum, stratify, EvalError};
 use crate::fault;
 use crate::governor::Governor;
@@ -156,36 +156,16 @@ struct EdbContext {
     /// planning pass entirely and pay exactly what the pre-planner
     /// memo paid: one key build and one map probe per rule.
     plans: RwLock<FxHashMap<RuleKey, Arc<CompiledRule>>>,
-    pool: ContextPool,
+    /// The pool evaluations fan out on; `None` defers to the process-wide
+    /// pool, instantiated lazily (see `EvalRun::pool`).
+    pool: Option<Arc<WorkerPool>>,
     /// Whether the cost-based join planner reorders body literals.
     reorder: bool,
 }
 
-/// Which pool a context fans out on. `Global` defers to the process-wide
-/// pool *lazily* — worker threads are only spawned if an evaluation
-/// actually reaches the fan-out gate, so ambient contexts over small
-/// databases stay thread-free.
-enum ContextPool {
-    Ready(Arc<WorkerPool>),
-    Global,
-}
-
-/// The `DYNAMITE_NO_REORDER` environment override: `Some(true)` disables
-/// the cost-based join planner (body-order plans), `Some(false)` forces
-/// it on, `None` (unset or unrecognized) defers to the caller. Read once
-/// per process, mirroring `DYNAMITE_THREADS`.
-fn env_no_reorder() -> Option<bool> {
-    static ENV: OnceLock<Option<bool>> = OnceLock::new();
-    *ENV.get_or_init(|| match std::env::var("DYNAMITE_NO_REORDER").ok()?.trim() {
-        "1" | "true" | "yes" => Some(true),
-        "0" | "false" | "no" => Some(false),
-        _ => None,
-    })
-}
-
-/// Whether ambient contexts ([`Evaluator::new`], [`Evaluator::eval_once`])
-/// run the cost-based join planner: on unless `DYNAMITE_NO_REORDER`
-/// disables it.
+/// Whether ambient evaluations ([`Evaluator::new`],
+/// [`evaluate`](crate::evaluate)) run the cost-based join planner: on
+/// unless `DYNAMITE_NO_REORDER` disables it.
 pub fn reorder_default() -> bool {
     resolve_reorder(None)
 }
@@ -195,7 +175,7 @@ pub fn reorder_default() -> bool {
 /// regressions are bisectable without touching code), then the explicit
 /// request, then the default (planner on).
 pub fn resolve_reorder(requested: Option<bool>) -> bool {
-    match env_no_reorder() {
+    match env::overrides().no_reorder {
         Some(no) => !no,
         None => requested.unwrap_or(true),
     }
@@ -208,35 +188,22 @@ impl Evaluator {
     /// global pool is instantiated lazily, on the first round that
     /// actually fans out.
     pub fn new(edb: Database) -> Evaluator {
-        Evaluator {
-            ctx: Arc::new(EdbContext {
-                edb,
-                indexes: RwLock::new(FxHashMap::default()),
-                rules: RuleCacheHandle::default(),
-                plans: RwLock::new(FxHashMap::default()),
-                pool: ContextPool::Global,
-                reorder: reorder_default(),
-            }),
-        }
+        Evaluator::build(edb, None, RuleCacheHandle::default(), reorder_default())
     }
 
     /// Builds a context that evaluates on an explicit worker pool. A pool
     /// of 1 thread runs every fixpoint round inline, sequentially.
     pub fn with_pool(edb: Database, pool: Arc<WorkerPool>) -> Evaluator {
-        Evaluator::with_shared(edb, pool, RuleCacheHandle::default())
+        Evaluator::with_config(edb, pool, RuleCacheHandle::default(), reorder_default())
     }
 
-    /// Builds a context that additionally shares a compiled-rule memo
-    /// with other contexts — the synthesizer hands one handle to every
-    /// example's context, so a candidate compiled for example 1 is a
-    /// cache hit on examples 2..N. (Sharing stays sound under the
-    /// cost-based planner because each plan's join orders are part of its
-    /// memo key.)
-    pub fn with_shared(edb: Database, pool: Arc<WorkerPool>, rules: RuleCacheHandle) -> Evaluator {
-        Evaluator::with_config(edb, pool, rules, reorder_default())
-    }
-
-    /// [`Evaluator::with_shared`] with an explicit join-planner switch:
+    /// Builds a context on an explicit worker pool that shares a
+    /// compiled-rule memo with other contexts — the synthesizer hands one
+    /// handle to every example's context, so a candidate compiled for
+    /// example 1 is a cache hit on examples 2..N. (Sharing stays sound
+    /// under the cost-based planner because each plan's join orders are
+    /// part of its memo key.)
+    ///
     /// `reorder = false` pins body-order plans (the pre-planner
     /// behaviour). Unlike the ambient constructors this is **not**
     /// overridden by `DYNAMITE_NO_REORDER` — like an explicit
@@ -248,22 +215,25 @@ impl Evaluator {
         rules: RuleCacheHandle,
         reorder: bool,
     ) -> Evaluator {
+        Evaluator::build(edb, Some(pool), rules, reorder)
+    }
+
+    fn build(
+        edb: Database,
+        pool: Option<Arc<WorkerPool>>,
+        rules: RuleCacheHandle,
+        reorder: bool,
+    ) -> Evaluator {
         Evaluator {
             ctx: Arc::new(EdbContext {
                 edb,
-                indexes: RwLock::new(FxHashMap::default()),
+                indexes: RwLock::default(),
                 rules,
-                plans: RwLock::new(FxHashMap::default()),
-                pool: ContextPool::Ready(pool),
+                plans: RwLock::default(),
+                pool,
                 reorder,
             }),
         }
-    }
-
-    /// Builds a context from a borrowed database (clones it once; every
-    /// subsequent evaluation shares the snapshot).
-    pub fn from_database(db: &Database) -> Evaluator {
-        Evaluator::new(db.clone())
     }
 
     /// The extensional snapshot this context evaluates against.
@@ -274,10 +244,7 @@ impl Evaluator {
     /// The worker pool this context's evaluations fan out on
     /// (instantiates the global pool if this context defers to it).
     pub fn pool(&self) -> &Arc<WorkerPool> {
-        match &self.ctx.pool {
-            ContextPool::Ready(p) => p,
-            ContextPool::Global => pool::global(),
-        }
+        self.ctx.pool.as_ref().unwrap_or_else(|| pool::global())
     }
 
     /// Evaluates `program`, returning the derived intensional relations
@@ -315,23 +282,6 @@ impl Evaluator {
         self.run().explain(program)
     }
 
-    /// Builds a stateful [`IncrementalEvaluator`](crate::incremental::IncrementalEvaluator)
-    /// for `program`, seeded
-    /// from this context's EDB snapshot and inheriting its worker pool
-    /// and planner mode. The maintained state is independent of this
-    /// context afterwards — mutating it never affects the snapshot.
-    pub fn incremental(
-        &self,
-        program: &Program,
-    ) -> Result<crate::incremental::IncrementalEvaluator, EvalError> {
-        crate::incremental::IncrementalEvaluator::with_config(
-            program.clone(),
-            self.ctx.edb.clone(),
-            self.pool().clone(),
-            self.ctx.reorder,
-        )
-    }
-
     /// Whether this context plans join orders (`true`) or follows body
     /// order. The query rewriter aligns its sideways-information-passing
     /// order with this flag so adornment and join order agree.
@@ -361,67 +311,21 @@ impl Evaluator {
 
     fn run(&self) -> EvalRun<'_> {
         EvalRun {
-            edb: &self.ctx.edb,
-            indexes: IndexSource::Shared(&self.ctx.indexes),
             rules: Some(&self.ctx.rules.inner),
             plans: Some(&self.ctx.plans),
-            pool: match &self.ctx.pool {
-                ContextPool::Ready(p) => PoolSource::Ready(p),
-                ContextPool::Global => PoolSource::Lazy,
-            },
-            reorder: self.ctx.reorder,
-            gov: None,
-            demand: None,
-        }
-    }
-
-    /// Evaluates `program` on a borrowed `edb` without building a shared
-    /// context: no snapshot clone, no `RwLock` around the index cache, no
-    /// cross-evaluation rule memo.
-    ///
-    /// This is the single-use path behind the classic `evaluate` wrapper —
-    /// a one-shot call can never amortize the shared caches, so it should
-    /// not pay the setup and synchronization cost. EDB indexes are still
-    /// cached *within* the call (a recursive fixpoint reuses them every
-    /// round); the cache is simply dropped on return.
-    pub fn eval_once(program: &Program, edb: &Database) -> Result<Database, EvalError> {
-        Self::one_shot_run(edb, None).eval(program)
-    }
-
-    /// The governed single-use path: [`Evaluator::eval_once`] under a
-    /// [`Governor`] (see [`Evaluator::eval_governed`] for the contract).
-    pub fn eval_once_governed(
-        program: &Program,
-        edb: &Database,
-        gov: &Governor,
-    ) -> Result<Database, EvalError> {
-        Self::one_shot_run(edb, Some(gov)).eval(program)
-    }
-
-    fn one_shot_run<'e>(edb: &'e Database, gov: Option<&'e Governor>) -> EvalRun<'e> {
-        EvalRun {
-            edb,
-            indexes: IndexSource::Local(RefCell::new(FxHashMap::default())),
-            rules: None,
-            plans: None,
-            pool: PoolSource::Lazy,
-            reorder: reorder_default(),
-            gov,
-            demand: None,
+            ..EvalRun::new(
+                &self.ctx.edb,
+                &self.ctx.indexes,
+                self.ctx.pool.as_deref(),
+                self.ctx.reorder,
+            )
         }
     }
 }
 
-/// Where one evaluation's EDB-side indexes live.
-pub(crate) enum IndexSource<'e> {
-    /// The context's persistent cache, shared across evaluations.
-    Shared(&'e RwLock<IndexCache>),
-    /// A single-use cache owned by this evaluation (no lock).
-    Local(RefCell<IndexCache>),
-}
-
-/// One evaluation of one program: a borrowed EDB, an index source, an
-/// optional cross-evaluation rule memo, and the pool to fan rounds out on.
+/// One evaluation of one program: a borrowed EDB, the index cache its
+/// EDB-side join indexes live in, an optional cross-evaluation rule memo,
+/// and the pool to fan rounds out on.
 ///
 /// The incremental-maintenance module assembles these directly (from its
 /// own persistent EDB, index cache, and pool) to drive individual rounds
@@ -429,12 +333,16 @@ pub(crate) enum IndexSource<'e> {
 /// points are crate-visible.
 pub(crate) struct EvalRun<'e> {
     pub(crate) edb: &'e Database,
-    pub(crate) indexes: IndexSource<'e>,
+    pub(crate) indexes: &'e RwLock<IndexCache>,
     pub(crate) rules: Option<&'e RwLock<RuleCache>>,
     /// The owning context's per-context plan cache (fast path), absent
     /// for one-shot runs.
     pub(crate) plans: Option<&'e RwLock<FxHashMap<RuleKey, Arc<CompiledRule>>>>,
-    pub(crate) pool: PoolSource<'e>,
+    /// The pool rounds fan out on; `None` is the process-global pool,
+    /// resolved *lazily* — only when a round actually fans out — so a
+    /// small `evaluate()` call or an ambient context over a small database
+    /// never spawns worker threads.
+    pub(crate) pool: Option<&'e WorkerPool>,
     /// Whether join orders come from the cost-based planner (`true`) or
     /// follow body order (`false`).
     pub(crate) reorder: bool,
@@ -449,32 +357,6 @@ pub(crate) struct EvalRun<'e> {
     pub(crate) demand: Option<&'e std::collections::HashSet<String>>,
 }
 
-/// The pool an evaluation fans out on. One-shot evaluations resolve the
-/// process-global pool *lazily* — only when a round actually fans out —
-/// so a small `evaluate()` call never spawns worker threads.
-pub(crate) enum PoolSource<'e> {
-    Ready(&'e WorkerPool),
-    Lazy,
-}
-
-impl PoolSource<'_> {
-    /// The worker count without forcing pool creation.
-    fn threads(&self) -> usize {
-        match self {
-            PoolSource::Ready(p) => p.threads(),
-            PoolSource::Lazy => pool::default_threads(),
-        }
-    }
-
-    /// The pool itself (instantiating the global pool if lazy).
-    fn get(&self) -> &WorkerPool {
-        match self {
-            PoolSource::Ready(p) => p,
-            PoolSource::Lazy => pool::global(),
-        }
-    }
-}
-
 /// One variant of one rule scheduled into a round, before partitioning.
 pub(crate) type Spec<'r> = (&'r CompiledRule, &'r Variant, Option<&'r Relation>);
 
@@ -486,7 +368,32 @@ pub(crate) type JoinRoundOutput<'r> = Vec<(&'r CompiledRule, Vec<(usize, Vec<Val
 /// fan-out overhead outweighs the work.
 const PAR_MIN_ROWS: usize = 256;
 
-impl EvalRun<'_> {
+impl<'e> EvalRun<'e> {
+    /// A run with no cross-evaluation memo, governor or demand hint.
+    pub(crate) fn new(
+        edb: &'e Database,
+        indexes: &'e RwLock<IndexCache>,
+        pool: Option<&'e WorkerPool>,
+        reorder: bool,
+    ) -> EvalRun<'e> {
+        EvalRun {
+            edb,
+            indexes,
+            rules: None,
+            plans: None,
+            pool,
+            reorder,
+            gov: None,
+            demand: None,
+        }
+    }
+
+    /// The worker count without forcing the global pool's creation.
+    fn threads(&self) -> usize {
+        self.pool
+            .map_or_else(pool::default_threads, WorkerPool::threads)
+    }
+
     pub(crate) fn eval(&self, program: &Program) -> Result<Database, EvalError> {
         if let Some(gov) = self.gov {
             gov.check()?;
@@ -736,10 +643,10 @@ impl EvalRun<'_> {
         let edb = self.edb;
         let idb_frozen: &IdbState = idb;
         let gov = self.gov;
-        let fan_out = jobs.len() > 1 && self.pool.threads() > 1 && outer_rows >= PAR_MIN_ROWS;
+        let fan_out = jobs.len() > 1 && self.threads() > 1 && outer_rows >= PAR_MIN_ROWS;
         let preps = &preps;
         let results: Vec<Vec<(usize, Vec<Value>)>> = if fan_out {
-            self.pool.get().run(
+            self.pool.unwrap_or_else(|| pool::global()).run(
                 jobs.iter()
                     .map(|job| move || join_job(edb, job, &preps[job.spec], idb_frozen, gov)),
             )
@@ -764,7 +671,7 @@ impl EvalRun<'_> {
     /// never affect the result (partitions tile the scan in ascending
     /// order), so the chunk count is free to depend on the pool size.
     fn partition_jobs<'r>(&self, specs: &[Spec<'r>], idb: &IdbState) -> (Vec<RoundJob<'r>>, usize) {
-        let threads = self.pool.threads();
+        let threads = self.threads();
         let mut outer_rows = 0usize;
         let mut jobs = Vec::with_capacity(specs.len());
         for (spec, &(rule, variant, delta)) in specs.iter().enumerate() {
@@ -845,49 +752,24 @@ impl EvalRun<'_> {
     /// `rel` on `cols`; `None` when the snapshot has no such relation.
     pub(crate) fn edb_index(&self, rel: &str, cols: &[usize]) -> Option<Arc<ColumnIndex>> {
         let relation = self.edb.relation(rel)?;
-        match &self.indexes {
-            IndexSource::Shared(lock) => {
-                if let Some(idx) = lock
-                    .read()
-                    .expect("index cache poisoned")
-                    .get(rel)
-                    .and_then(|by_cols| by_cols.get(cols))
-                {
-                    return Some(idx.clone());
-                }
-                let built = Arc::new(ColumnIndex::build(relation, cols));
-                let mut w = lock.write().expect("index cache poisoned");
-                Some(
-                    w.entry(rel.to_string())
-                        .or_default()
-                        .entry(cols.to_vec())
-                        .or_insert(built)
-                        .clone(),
-                )
-            }
-            IndexSource::Local(cache) => {
-                // Same borrowed-key hit path as the shared arm: a cache
-                // hit must not allocate the owned `String`/`Vec` keys the
-                // entry API would demand.
-                if let Some(idx) = cache
-                    .borrow()
-                    .get(rel)
-                    .and_then(|by_cols| by_cols.get(cols))
-                {
-                    return Some(idx.clone());
-                }
-                let built = Arc::new(ColumnIndex::build(relation, cols));
-                Some(
-                    cache
-                        .borrow_mut()
-                        .entry(rel.to_string())
-                        .or_default()
-                        .entry(cols.to_vec())
-                        .or_insert(built)
-                        .clone(),
-                )
-            }
+        if let Some(idx) = self
+            .indexes
+            .read()
+            .expect("index cache poisoned")
+            .get(rel)
+            .and_then(|by_cols| by_cols.get(cols))
+        {
+            return Some(idx.clone());
         }
+        let built = Arc::new(ColumnIndex::build(relation, cols));
+        let mut w = self.indexes.write().expect("index cache poisoned");
+        Some(
+            w.entry(rel.to_string())
+                .or_default()
+                .entry(cols.to_vec())
+                .or_insert(built)
+                .clone(),
+        )
     }
 }
 
@@ -2429,12 +2311,12 @@ mod tests {
         assert_eq!(plan_a, "Out :- S[scan], R[index [1]]");
         assert_eq!(plan_b, "Out :- R[scan], S[index [0]]");
 
-        // And both still compute the right answer (against eval_once,
+        // And both still compute the right answer (against evaluate,
         // which never uses the shared memo).
         for (ctx, db) in [(&ctx_a, &a), (&ctx_b, &b)] {
             assert_eq!(
                 ctx.eval(&p).expect("evaluates"),
-                Evaluator::eval_once(&p, db).expect("evaluates")
+                crate::evaluate(&p, db).expect("evaluates")
             );
         }
         // Re-explaining is stable (second lookup is the memo hit path).
@@ -2511,7 +2393,7 @@ mod tests {
         // Without the env var set (the test environment may set it; in
         // that case the env wins and this test is vacuous), an explicit
         // request decides.
-        if env_no_reorder().is_none() {
+        if env::overrides().no_reorder.is_none() {
             assert!(resolve_reorder(None));
             assert!(resolve_reorder(Some(true)));
             assert!(!resolve_reorder(Some(false)));

@@ -14,18 +14,19 @@
 //!
 //! This module holds the error type, the pieces shared by every engine
 //! (arity validation and stratification), and the classic
-//! [`evaluate`] entry point, which is now a thin wrapper constructing a
-//! one-shot [`Evaluator`](crate::Evaluator). Callers that evaluate many
+//! [`evaluate`] entry point, a one-shot run of the same engine path
+//! [`Evaluator`](crate::Evaluator) takes. Callers that evaluate many
 //! programs against the same database should construct the context once
 //! instead.
 
 use std::collections::HashMap;
 use std::fmt;
+use std::sync::RwLock;
 
 use dynamite_instance::Database;
 
 use crate::ast::{Program, Rule, WellFormedError};
-use crate::engine::Evaluator;
+use crate::engine::{reorder_default, EvalRun};
 
 /// Errors raised by the evaluator.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -158,15 +159,15 @@ impl From<WellFormedError> for EvalError {
 ///
 /// Extensional relations missing from `input` are treated as empty.
 ///
-/// This is the compatibility entry point: it runs the engine's
-/// lightweight single-use path ([`Evaluator::eval_once`]), which borrows
-/// `input` (no snapshot clone) and keeps its index cache local to the
-/// call (no `RwLock`) — a one-shot evaluation can never amortize shared
-/// context setup. Workloads that evaluate many candidate programs against
-/// one database (the synthesis loop) should build the context once and
-/// call [`Evaluator::eval`](crate::Evaluator::eval) repeatedly.
+/// This is the compatibility entry point: it runs the same fixpoint as
+/// [`Evaluator::eval`](crate::Evaluator::eval), borrowing `input` (no
+/// snapshot clone) with an index cache local to the call and no
+/// cross-evaluation rule memo — a one-shot evaluation can never amortize
+/// them. Workloads that evaluate many candidate programs against one
+/// database (the synthesis loop) should build an
+/// [`Evaluator`](crate::Evaluator) once and call `eval` repeatedly.
 pub fn evaluate(program: &Program, input: &Database) -> Result<Database, EvalError> {
-    Evaluator::eval_once(program, input)
+    EvalRun::new(input, &RwLock::default(), None, reorder_default()).eval(program)
 }
 
 /// Relation arities as used by `program`, validated against `input`.
@@ -247,6 +248,7 @@ pub(crate) fn stratify(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::Evaluator;
     use dynamite_instance::Value;
 
     fn db(facts: &[(&str, &[i64])]) -> Database {
@@ -467,7 +469,7 @@ mod tests {
             ("S", &[10, 100]),
             ("S", &[20, 200]),
         ]);
-        let ctx = Evaluator::from_database(&input);
+        let ctx = Evaluator::new(input.clone());
         for src in [
             "Q(x, z) :- R(x, y), S(y, z).",
             "Q(x) :- R(x, _).",
@@ -484,10 +486,10 @@ mod tests {
     }
 
     #[test]
-    fn eval_once_matches_shared_context() {
-        // The single-use path (borrowed EDB, local index cache, no
-        // RwLock) must agree with the shared-context path on programs
-        // exercising joins, recursion, and negation.
+    fn evaluate_matches_shared_context() {
+        // The one-shot path (borrowed EDB, call-local index cache) must
+        // agree with the shared-context path on programs exercising
+        // joins, recursion, and negation.
         let mut input = db(&[
             ("Edge", &[1, 2]),
             ("Edge", &[2, 3]),
@@ -498,7 +500,7 @@ mod tests {
             ("Node", &[4]),
         ]);
         input.insert("Start", vec![Value::Int(1)]);
-        let ctx = Evaluator::from_database(&input);
+        let ctx = Evaluator::new(input.clone());
         for src in [
             "Q(x, z) :- Edge(x, y), Edge(y, z).",
             "Path(x, y) :- Edge(x, y).
@@ -509,7 +511,7 @@ mod tests {
         ] {
             let p = Program::parse(src).unwrap();
             assert_eq!(
-                Evaluator::eval_once(&p, &input).unwrap(),
+                evaluate(&p, &input).unwrap(),
                 ctx.eval(&p).unwrap(),
                 "{src}"
             );

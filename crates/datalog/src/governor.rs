@@ -23,7 +23,7 @@
 //! per evaluation from the same [`ResourceLimits::deadline`] instant.
 
 use std::sync::atomic::{AtomicU64, AtomicU8, Ordering};
-use std::sync::{Arc, OnceLock};
+use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 use crate::eval::EvalError;
@@ -272,27 +272,11 @@ impl Governor {
     }
 }
 
-/// The `DYNAMITE_FACT_BUDGET` environment override, if set to a valid
-/// positive integer (anything else — unset, unparseable, zero — is
-/// ignored rather than silently clobbering an explicit request). Read
-/// once per process, mirroring `DYNAMITE_THREADS`.
-fn env_fact_budget() -> Option<u64> {
-    static ENV: OnceLock<Option<u64>> = OnceLock::new();
-    *ENV.get_or_init(|| {
-        std::env::var("DYNAMITE_FACT_BUDGET")
-            .ok()?
-            .trim()
-            .parse::<u64>()
-            .ok()
-            .filter(|&n| n >= 1)
-    })
-}
-
 /// Resolves a configured per-evaluation fact budget: a *valid*
 /// `DYNAMITE_FACT_BUDGET` environment override wins, then the explicit
 /// request, then unlimited.
 pub fn resolve_fact_budget(requested: Option<u64>) -> Option<u64> {
-    env_fact_budget().or(requested)
+    crate::env::overrides().fact_budget.or(requested)
 }
 
 #[cfg(test)]

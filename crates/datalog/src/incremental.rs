@@ -74,11 +74,11 @@ use dynamite_instance::{ColumnIndex, Database, Relation, Value};
 use crate::ast::Program;
 use crate::engine::{
     rederive_plans, try_tuple, Access, CompiledRule, CostModel, EvalRun, HeadTerm, IdbState,
-    IndexCache, IndexSource, LitPlan, PlanOrders, PoolSource, RederivePlan, Slot, Spec,
+    IndexCache, LitPlan, PlanOrders, RederivePlan, Slot, Spec,
 };
 use crate::eval::{check_arities, stratify, EvalError};
 use crate::fault;
-use crate::governor::{Governor, ResourceLimits};
+use crate::governor::Governor;
 use crate::pool::{self, WorkerPool};
 
 /// The net change to the derived (intensional) relations produced by one
@@ -233,14 +233,8 @@ fn make_run<'e>(
     gov: Option<&'e Governor>,
 ) -> EvalRun<'e> {
     EvalRun {
-        edb,
-        indexes: IndexSource::Shared(indexes),
-        rules: None,
-        plans: None,
-        pool: PoolSource::Ready(pool),
-        reorder,
         gov,
-        demand: None,
+        ..EvalRun::new(edb, indexes, Some(pool), reorder)
     }
 }
 
@@ -248,8 +242,8 @@ impl IncrementalEvaluator {
     /// Evaluates `program` over `edb` and keeps the result maintained.
     ///
     /// Uses the `DYNAMITE_THREADS` / `DYNAMITE_NO_REORDER` environment
-    /// defaults; [`Evaluator::incremental`](crate::Evaluator::incremental)
-    /// inherits an existing context's configuration instead.
+    /// defaults; [`with_config`](IncrementalEvaluator::with_config) takes
+    /// an explicit configuration instead.
     pub fn new(program: Program, edb: Database) -> Result<IncrementalEvaluator, EvalError> {
         IncrementalEvaluator::with_config(
             program,
@@ -517,37 +511,6 @@ impl IncrementalEvaluator {
         self.apply(inserts, deletes, Some(gov))
     }
 
-    /// [`apply_delta_governed`](IncrementalEvaluator::apply_delta_governed)
-    /// with bounded retries — the maintenance
-    /// counterpart of the synthesizer's candidate-retry policy (one
-    /// initial attempt plus up to `retries` re-attempts, each under a
-    /// **fresh** [`Governor`] built from `limits()`).
-    ///
-    /// `limits` is called once per attempt, so deadline-style limits
-    /// re-anchor to "now" instead of a retry inheriting an already-spent
-    /// clock. Only *resource* trips ([`EvalError::is_resource_limit`])
-    /// are retried — a transient trip (deadline race, injected fault)
-    /// should not condemn the batch, while validation errors are
-    /// deterministic and re-attempting them is pure waste. After a failed
-    /// attempt the maintainer is poisoned, so each retry transparently
-    /// pays the overlay rebuild first, exactly as any next batch would.
-    pub fn apply_delta_with_retry(
-        &mut self,
-        inserts: &Database,
-        deletes: &Database,
-        retries: u32,
-        mut limits: impl FnMut() -> ResourceLimits,
-    ) -> Result<OutputDelta, EvalError> {
-        let mut attempt = 0;
-        loop {
-            let gov = Governor::new(limits());
-            match self.apply(inserts, deletes, Some(&gov)) {
-                Err(e) if e.is_resource_limit() && attempt < retries => attempt += 1,
-                result => return result,
-            }
-        }
-    }
-
     /// Verifies the maintained overlay against a from-scratch
     /// re-evaluation of the current EDB, **without modifying anything**
     /// (a poisoned overlay is rebuilt first — it is *known* stale, and
@@ -557,21 +520,10 @@ impl IncrementalEvaluator {
     /// no checksum on the persistence path can catch, because the
     /// persistence path faithfully records whatever the overlay claims.
     pub fn audit(&mut self) -> Result<(), EvalError> {
-        self.audit_inner(None)
-    }
-
-    /// [`audit`](IncrementalEvaluator::audit) under cooperative resource
-    /// limits (the re-evaluation is a full fixpoint — on large states,
-    /// govern it like any other full evaluation).
-    pub fn audit_governed(&mut self, gov: &Governor) -> Result<(), EvalError> {
-        self.audit_inner(Some(gov))
-    }
-
-    fn audit_inner(&mut self, gov: Option<&Governor>) -> Result<(), EvalError> {
         if self.poisoned {
-            self.refresh(gov)?;
+            self.refresh(None)?;
         }
-        let scratch = self.full_eval_database(gov)?;
+        let scratch = self.full_eval_database(None)?;
         match drift_between(&self.idb.to_database(), &scratch) {
             None => Ok(()),
             Some(drift) => Err(EvalError::Drift(drift)),

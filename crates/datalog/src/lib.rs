@@ -33,6 +33,7 @@
 mod ast;
 pub mod durable;
 mod engine;
+mod env;
 mod eval;
 pub mod fault;
 mod governor;

@@ -248,22 +248,6 @@ fn worker_loop(shared: &Shared) {
 
 // -------------------------------------------------------- global pool --
 
-/// The `DYNAMITE_THREADS` environment override, if it is set to a valid
-/// positive integer (anything else — unset, unparseable, zero — is
-/// ignored rather than silently clobbering an explicit request). Read
-/// once per process.
-fn env_threads() -> Option<usize> {
-    static ENV: OnceLock<Option<usize>> = OnceLock::new();
-    *ENV.get_or_init(|| {
-        std::env::var("DYNAMITE_THREADS")
-            .ok()?
-            .trim()
-            .parse::<usize>()
-            .ok()
-            .filter(|&n| n >= 1)
-    })
-}
-
 /// The number of workers requested by the environment: a valid
 /// `DYNAMITE_THREADS`, otherwise the machine's available parallelism.
 /// Cached — lazy contexts consult this every round, and
@@ -271,7 +255,9 @@ fn env_threads() -> Option<usize> {
 pub fn default_threads() -> usize {
     static DEFAULT: OnceLock<usize> = OnceLock::new();
     *DEFAULT.get_or_init(|| {
-        env_threads().unwrap_or_else(|| std::thread::available_parallelism().map_or(1, usize::from))
+        crate::env::overrides()
+            .threads
+            .unwrap_or_else(|| std::thread::available_parallelism().map_or(1, usize::from))
     })
 }
 
@@ -279,7 +265,7 @@ pub fn default_threads() -> usize {
 /// environment override wins, then the explicit request, then available
 /// parallelism.
 pub fn resolve_threads(requested: Option<usize>) -> usize {
-    if let Some(n) = env_threads() {
+    if let Some(n) = crate::env::overrides().threads {
         return n;
     }
     requested.map_or_else(default_threads, |n| n.max(1))

@@ -7,7 +7,7 @@ use std::sync::Arc;
 
 use dynamite_datalog::pool::WorkerPool;
 use dynamite_datalog::{
-    EvalError, Evaluator, Governor, IncrementalEvaluator, Program, ResourceLimits,
+    evaluate, EvalError, Evaluator, Governor, IncrementalEvaluator, Program, ResourceLimits,
 };
 use dynamite_instance::{Database, Value};
 
@@ -108,7 +108,7 @@ fn run_stream(threads: usize, reorder: bool) {
     let mut shadow = edb;
     assert_eq!(
         inc.output(),
-        Evaluator::eval_once(&program, &shadow).unwrap(),
+        evaluate(&program, &shadow).unwrap(),
         "initial state diverged"
     );
 
@@ -139,7 +139,7 @@ fn run_stream(threads: usize, reorder: bool) {
         apply_to_shadow(&mut shadow, &ins, &dels);
 
         let maintained = inc.output();
-        let scratch = Evaluator::eval_once(&program, &shadow).unwrap();
+        let scratch = evaluate(&program, &shadow).unwrap();
         let context = format!("batch {batch}, threads {threads}, reorder {reorder}");
         assert_eq!(
             maintained, scratch,
@@ -251,7 +251,7 @@ fn negation_falls_back_to_full_reeval() {
         let delta = inc.apply_delta(&ins, &dels).unwrap();
         apply_to_shadow(&mut shadow, &ins, &dels);
         let maintained = inc.output();
-        let scratch = Evaluator::eval_once(&program, &shadow).unwrap();
+        let scratch = evaluate(&program, &shadow).unwrap();
         let context = format!("negation batch {batch}");
         assert_eq!(maintained, scratch, "fallback diverged ({context})");
         check_delta(&old, &maintained, &delta, &context);
@@ -320,10 +320,7 @@ fn governed_trip_is_atomic_and_recoverable() {
     assert!(!delta.is_empty());
     let mut shadow = edb;
     apply_to_shadow(&mut shadow, &Database::new(), &dels);
-    assert_eq!(
-        inc.output(),
-        Evaluator::eval_once(&program, &shadow).unwrap()
-    );
+    assert_eq!(inc.output(), evaluate(&program, &shadow).unwrap());
     assert_eq!(inc.edb(), &shadow);
 }
 
@@ -345,16 +342,16 @@ fn output_after_governed_trip_rebuilds() {
         .is_err());
     // `output` on a poisoned maintainer rebuilds from the (rolled-back)
     // EDB rather than serving the inconsistent overlay.
-    assert_eq!(inc.output(), Evaluator::eval_once(&program, &edb).unwrap());
+    assert_eq!(inc.output(), evaluate(&program, &edb).unwrap());
 }
 
 #[test]
-fn evaluator_context_spawns_incremental() {
+fn incremental_output_matches_evaluator_context() {
     let program = recursive_program();
     let mut edb = Database::new();
     edb.insert("Edge", edge(1, 2));
     edb.insert("Source", vec![Value::Int(1)]);
     let ev = Evaluator::new(edb);
-    let mut inc = ev.incremental(&program).unwrap();
+    let mut inc = IncrementalEvaluator::new(program.clone(), ev.database().clone()).unwrap();
     assert_eq!(inc.output(), ev.eval(&program).unwrap());
 }

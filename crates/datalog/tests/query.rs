@@ -282,7 +282,7 @@ fn negation_fallback_fires_and_matches() {
     .unwrap();
     let mut rng = Lcg(0xfa11_bacc);
     let edb = random_edb(&mut rng);
-    let ev = Evaluator::from_database(&edb);
+    let ev = Evaluator::new(edb.clone());
     let full = ev.eval(&program).unwrap();
     let served = ServedEvaluator::new(program, edb).unwrap();
 
@@ -322,7 +322,7 @@ fn recursive_closure_point_queries() {
         edb.insert("Edge", vec![int(n + 10), int(n + 11)]);
     }
     edb.insert("Edge", vec![int(5), int(10)]);
-    let ev = Evaluator::from_database(&edb);
+    let ev = Evaluator::new(edb.clone());
     let full = ev.eval(&program).unwrap();
     let served = ServedEvaluator::new(program.clone(), edb).unwrap();
 
@@ -350,7 +350,7 @@ fn all_free_bindings_are_bit_identical_to_full_eval() {
     let mut rng = Lcg(0x0a11_f4ee);
     let program = random_program(&mut rng, 3, false);
     let edb = random_edb(&mut rng);
-    let ev = Evaluator::from_database(&edb);
+    let ev = Evaluator::new(edb.clone());
     let full = ev.eval(&program).unwrap();
     let served = ServedEvaluator::new(program.clone(), edb).unwrap();
 
@@ -384,7 +384,7 @@ fn query_edge_cases() {
     let program = Program::parse("Path(x, y) :- Edge(x, y).").unwrap();
     let mut edb = Database::new();
     edb.insert("Edge", vec![int(1), int(2)]);
-    let ev = Evaluator::from_database(&edb);
+    let ev = Evaluator::new(edb.clone());
 
     match ev.query(&program, "Path", &[Some(int(1))]) {
         Err(EvalError::InputArity {
@@ -421,7 +421,7 @@ fn generated_names_escape_user_collisions() {
         edb.insert("Edge", vec![int(n), int(n + 1)]);
     }
     edb.insert("Edge", vec![int(2), int(2)]);
-    let ev = Evaluator::from_database(&edb);
+    let ev = Evaluator::new(edb.clone());
     let full = ev.eval(&program).unwrap();
 
     for rel in ["Path", "magic_Path_bf", "goal_Path_bf"] {
@@ -446,7 +446,7 @@ fn multi_head_rules_are_split_for_rewrite() {
     for n in 0..5u64 {
         edb.insert("Edge", vec![int(n), int(n + 1)]);
     }
-    let ev = Evaluator::from_database(&edb);
+    let ev = Evaluator::new(edb.clone());
     let full = ev.eval(&program).unwrap();
 
     for (rel, bindings) in [

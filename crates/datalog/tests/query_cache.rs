@@ -9,7 +9,7 @@ use std::sync::Arc;
 
 use dynamite_datalog::pool::WorkerPool;
 use dynamite_datalog::{
-    fault, EvalError, Evaluator, Governor, Program, ResourceLimits, ServedEvaluator,
+    evaluate, fault, EvalError, Evaluator, Governor, Program, ResourceLimits, ServedEvaluator,
 };
 use dynamite_instance::{Database, Relation, Value};
 
@@ -121,7 +121,7 @@ fn subsumed_query_never_reruns_fixpoint() {
     let mut rng = Lcg(0x5ab5_0000 ^ 0xbeef);
     let program = path_program();
     let edb = random_edges(&mut rng, 45);
-    let ev = Evaluator::from_database(&edb);
+    let ev = Evaluator::new(edb.clone());
     let full = ev.eval(&program).unwrap();
     let served = ServedEvaluator::new(program, edb).unwrap();
 
@@ -155,7 +155,7 @@ fn all_free_subsumes_every_pattern() {
     let mut rng = Lcg(0xa11_f4ee);
     let program = path_program();
     let edb = random_edges(&mut rng, 45);
-    let ev = Evaluator::from_database(&edb);
+    let ev = Evaluator::new(edb.clone());
     let full = ev.eval(&program).unwrap();
     let served = ServedEvaluator::new(program, edb).unwrap();
 
@@ -218,7 +218,7 @@ fn apply_delta_invalidates_cached_answers() {
     for round in 0..6 {
         let bindings = vec![Some(int(rng.next() % DOMAIN)), None];
         let got = served.query("Path", &bindings).unwrap();
-        let full = Evaluator::eval_once(&program, &shadow).unwrap();
+        let full = evaluate(&program, &shadow).unwrap();
         assert_eq!(
             row_set(&got),
             oracle(&full, "Path", &bindings),
@@ -288,7 +288,7 @@ fn governed_trip_leaves_cache_unpoisoned() {
     for n in 0..12u64 {
         edb.insert("Edge", vec![int(n), int(n + 1)]);
     }
-    let ev = Evaluator::from_database(&edb);
+    let ev = Evaluator::new(edb.clone());
     let full = ev.eval(&program).unwrap();
     let served = ServedEvaluator::new(program, edb).unwrap();
 
@@ -326,7 +326,7 @@ fn cache_eviction_preserves_correctness() {
     let program = path_program();
     let mut rng = Lcg(0xcab_ca11);
     let edb = random_edges(&mut rng, 40);
-    let ev = Evaluator::from_database(&edb);
+    let ev = Evaluator::new(edb.clone());
     let full = ev.eval(&program).unwrap();
     let pool = Arc::new(WorkerPool::new(1));
     let served = ServedEvaluator::with_config(path_program(), edb, pool, true).unwrap();

@@ -39,7 +39,7 @@ use dynamite_core::{synthesize, Example, Synthesis, SynthesisConfig, SynthesisEr
 use dynamite_datalog::{
     evaluate, pool, reorder_default, DriftError, DurableError, DurableEvaluator, DurableOptions,
     EvalError, Evaluator, Governor, IncrementalEvaluator, OutputDelta, Program, QueryStats,
-    RecoveryReport, ResourceLimits, ScrubReport, ServedEvaluator,
+    RecoveryReport, ScrubReport, ServedEvaluator,
 };
 use dynamite_instance::{from_facts, to_facts, Database, FactsError, Instance};
 use dynamite_schema::Schema;
@@ -142,6 +142,70 @@ pub struct AuditStats {
     pub repairs: u64,
 }
 
+/// The periodic overlay audit shared by [`MaintainedMigration`] and
+/// [`DurableMigration`]: every `every`-th successfully applied batch is
+/// audited, and drift is repaired automatically.
+#[derive(Default)]
+struct AuditSchedule {
+    every: Option<u64>,
+    batches_since: u64,
+    stats: AuditStats,
+}
+
+/// Maintained state an [`AuditSchedule`] audits and repairs.
+trait Audited {
+    fn audit(&mut self) -> Result<(), MigrateError>;
+    fn repair(&mut self) -> Result<Option<DriftError>, MigrateError>;
+}
+
+impl Audited for IncrementalEvaluator {
+    fn audit(&mut self) -> Result<(), MigrateError> {
+        Ok(IncrementalEvaluator::audit(self)?)
+    }
+    fn repair(&mut self) -> Result<Option<DriftError>, MigrateError> {
+        Ok(IncrementalEvaluator::repair(self)?)
+    }
+}
+
+impl Audited for DurableEvaluator {
+    fn audit(&mut self) -> Result<(), MigrateError> {
+        Ok(DurableEvaluator::audit(self)?)
+    }
+    fn repair(&mut self) -> Result<Option<DriftError>, MigrateError> {
+        Ok(DurableEvaluator::repair(self)?)
+    }
+}
+
+impl AuditSchedule {
+    fn set_every(&mut self, every: Option<u64>) {
+        self.every = every.filter(|&n| n > 0);
+        self.batches_since = 0;
+    }
+
+    /// Counts one applied batch and, when an audit is due, audits
+    /// `state`, repairing it on drift.
+    fn after_batch(&mut self, state: &mut impl Audited) -> Result<(), MigrateError> {
+        let Some(n) = self.every else {
+            return Ok(());
+        };
+        self.batches_since += 1;
+        if self.batches_since < n {
+            return Ok(());
+        }
+        self.batches_since = 0;
+        self.stats.audits += 1;
+        match state.audit() {
+            Err(MigrateError::Eval(EvalError::Drift(_))) => {
+                self.stats.drifts_detected += 1;
+                state.repair()?;
+                self.stats.repairs += 1;
+                Ok(())
+            }
+            result => result,
+        }
+    }
+}
+
 /// Migrates `source` to the target schema by executing `program`.
 pub fn migrate(
     program: &Program,
@@ -184,7 +248,7 @@ fn migrate_inner(
 
     let t1 = Instant::now();
     let derived = match gov {
-        Some(gov) => Evaluator::eval_once_governed(program, &facts, gov)?,
+        Some(gov) => Evaluator::new(facts).eval_governed(program, gov)?,
         None => evaluate(program, &facts)?,
     };
     report.eval_time = t1.elapsed();
@@ -233,9 +297,7 @@ fn migrate_inner(
 pub struct MaintainedMigration {
     inc: IncrementalEvaluator,
     target_schema: Arc<Schema>,
-    audit_every: Option<u64>,
-    batches_since_audit: u64,
-    audit_stats: AuditStats,
+    audit: AuditSchedule,
 }
 
 impl MaintainedMigration {
@@ -251,9 +313,7 @@ impl MaintainedMigration {
         Ok(MaintainedMigration {
             inc,
             target_schema,
-            audit_every: None,
-            batches_since_audit: 0,
-            audit_stats: AuditStats::default(),
+            audit: AuditSchedule::default(),
         })
     }
 
@@ -265,7 +325,7 @@ impl MaintainedMigration {
         deletes: &Database,
     ) -> Result<OutputDelta, MigrateError> {
         let delta = self.inc.apply_delta(inserts, deletes)?;
-        self.maybe_audit()?;
+        self.audit.after_batch(&mut self.inc)?;
         Ok(delta)
     }
 
@@ -279,24 +339,7 @@ impl MaintainedMigration {
         gov: &Governor,
     ) -> Result<OutputDelta, MigrateError> {
         let delta = self.inc.apply_delta_governed(inserts, deletes, gov)?;
-        self.maybe_audit()?;
-        Ok(delta)
-    }
-
-    /// [`apply_delta_governed`](MaintainedMigration::apply_delta_governed)
-    /// with bounded retries under a fresh governor per attempt — see
-    /// `IncrementalEvaluator::apply_delta_with_retry`.
-    pub fn apply_delta_with_retry(
-        &mut self,
-        inserts: &Database,
-        deletes: &Database,
-        retries: u32,
-        limits: impl FnMut() -> ResourceLimits,
-    ) -> Result<OutputDelta, MigrateError> {
-        let delta = self
-            .inc
-            .apply_delta_with_retry(inserts, deletes, retries, limits)?;
-        self.maybe_audit()?;
+        self.audit.after_batch(&mut self.inc)?;
         Ok(delta)
     }
 
@@ -306,14 +349,13 @@ impl MaintainedMigration {
     /// [`audit_stats`](MaintainedMigration::audit_stats). `None` (and
     /// `Some(0)`) disables periodic auditing.
     pub fn set_audit_every(&mut self, every: Option<u64>) {
-        self.audit_every = every.filter(|&n| n > 0);
-        self.batches_since_audit = 0;
+        self.audit.set_every(every);
     }
 
     /// Counters for the periodic audit (see
     /// [`set_audit_every`](MaintainedMigration::set_audit_every)).
     pub fn audit_stats(&self) -> AuditStats {
-        self.audit_stats
+        self.audit.stats
     }
 
     /// Verifies the maintained overlay against a from-scratch
@@ -328,28 +370,6 @@ impl MaintainedMigration {
     /// the rebuild corrected (if any).
     pub fn repair(&mut self) -> Result<Option<DriftError>, MigrateError> {
         Ok(self.inc.repair()?)
-    }
-
-    fn maybe_audit(&mut self) -> Result<(), MigrateError> {
-        let Some(n) = self.audit_every else {
-            return Ok(());
-        };
-        self.batches_since_audit += 1;
-        if self.batches_since_audit < n {
-            return Ok(());
-        }
-        self.batches_since_audit = 0;
-        self.audit_stats.audits += 1;
-        match self.inc.audit() {
-            Ok(()) => Ok(()),
-            Err(EvalError::Drift(_)) => {
-                self.audit_stats.drifts_detected += 1;
-                self.inc.repair()?;
-                self.audit_stats.repairs += 1;
-                Ok(())
-            }
-            Err(e) => Err(e.into()),
-        }
     }
 
     /// Whether the maintained state is degraded (the next batch pays a
@@ -401,9 +421,7 @@ impl MaintainedMigration {
 pub struct DurableMigration {
     dur: DurableEvaluator,
     target_schema: Arc<Schema>,
-    audit_every: Option<u64>,
-    batches_since_audit: u64,
-    audit_stats: AuditStats,
+    audit: AuditSchedule,
 }
 
 impl DurableMigration {
@@ -411,9 +429,7 @@ impl DurableMigration {
         DurableMigration {
             dur,
             target_schema,
-            audit_every: None,
-            batches_since_audit: 0,
-            audit_stats: AuditStats::default(),
+            audit: AuditSchedule::default(),
         }
     }
 
@@ -501,7 +517,7 @@ impl DurableMigration {
         deletes: &Database,
     ) -> Result<OutputDelta, MigrateError> {
         let delta = self.dur.apply_delta(inserts, deletes)?;
-        self.maybe_audit()?;
+        self.audit.after_batch(&mut self.dur)?;
         Ok(delta)
     }
 
@@ -515,7 +531,7 @@ impl DurableMigration {
         gov: &Governor,
     ) -> Result<OutputDelta, MigrateError> {
         let delta = self.dur.apply_delta_governed(inserts, deletes, gov)?;
-        self.maybe_audit()?;
+        self.audit.after_batch(&mut self.dur)?;
         Ok(delta)
     }
 
@@ -524,14 +540,13 @@ impl DurableMigration {
     /// a fresh verified checkpoint). `None` (and `Some(0)`) disables
     /// periodic auditing.
     pub fn set_audit_every(&mut self, every: Option<u64>) {
-        self.audit_every = every.filter(|&n| n > 0);
-        self.batches_since_audit = 0;
+        self.audit.set_every(every);
     }
 
     /// Counters for the periodic audit (see
     /// [`set_audit_every`](DurableMigration::set_audit_every)).
     pub fn audit_stats(&self) -> AuditStats {
-        self.audit_stats
+        self.audit.stats
     }
 
     /// Verifies the maintained overlay against a from-scratch
@@ -555,28 +570,6 @@ impl DurableMigration {
     /// created directory.
     pub fn recovery_report(&self) -> Option<&RecoveryReport> {
         self.dur.recovery_report()
-    }
-
-    fn maybe_audit(&mut self) -> Result<(), MigrateError> {
-        let Some(n) = self.audit_every else {
-            return Ok(());
-        };
-        self.batches_since_audit += 1;
-        if self.batches_since_audit < n {
-            return Ok(());
-        }
-        self.batches_since_audit = 0;
-        self.audit_stats.audits += 1;
-        match self.dur.audit() {
-            Ok(()) => Ok(()),
-            Err(DurableError::Eval(EvalError::Drift(_))) => {
-                self.audit_stats.drifts_detected += 1;
-                self.dur.repair()?;
-                self.audit_stats.repairs += 1;
-                Ok(())
-            }
-            Err(e) => Err(e.into()),
-        }
     }
 
     /// The maintained extensional facts (post all applied batches).
@@ -929,8 +922,8 @@ mod tests {
     }
 
     #[test]
-    fn maintained_migration_exposes_poisoned_state_and_retries() {
-        use dynamite_datalog::fault;
+    fn maintained_migration_exposes_poisoned_state_and_heals() {
+        use dynamite_datalog::{fault, ResourceLimits};
         let _guard = fault::test_lock();
         fault::reset();
         let (_, target, ex) = motivating();
@@ -955,21 +948,18 @@ mod tests {
         let mut dels = Database::new();
         dels.insert("Admit", row);
 
-        // A batch that trips every attempt exhausts the retries and
-        // leaves the maintainer observably poisoned…
+        // A governed batch that trips leaves the maintainer observably
+        // poisoned…
+        let gov = Governor::new(ResourceLimits::none().with_round_cap(0));
         let err = live
-            .apply_delta_with_retry(&Database::new(), &dels, 2, || {
-                ResourceLimits::none().with_round_cap(0)
-            })
+            .apply_delta_governed(&Database::new(), &dels, &gov)
             .unwrap_err();
         assert!(matches!(err, MigrateError::Eval(e) if e.is_resource_limit()));
-        assert!(live.is_poisoned(), "exhausted retries leave degraded state");
+        assert!(live.is_poisoned(), "a tripped batch leaves degraded state");
 
-        // …while generous limits let the retry helper succeed (paying
-        // the rebuild transparently) and clear the state.
-        let delta = live
-            .apply_delta_with_retry(&Database::new(), &dels, 2, ResourceLimits::none)
-            .unwrap();
+        // …while a plain batch pays the rebuild transparently and clears
+        // the state.
+        let delta = live.apply_delta(&Database::new(), &dels).unwrap();
         assert_eq!(delta.deleted.num_facts(), 1);
         assert!(!live.is_poisoned());
         live.apply_delta(&ins, &Database::new()).unwrap();

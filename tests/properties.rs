@@ -611,7 +611,7 @@ fn differential_context_vs_legacy_evaluation() {
         let mut rng = StdRng::seed_from_u64(5000 + seed);
         let program = random_stratified_program(&mut rng);
         let edb = random_edb(&mut rng);
-        let ctx = Evaluator::from_database(&edb);
+        let ctx = Evaluator::new(edb.clone());
 
         let via_legacy = legacy::evaluate(&program, &edb).expect("legacy evaluates");
         let via_wrapper = evaluate(&program, &edb).expect("wrapper evaluates");
@@ -784,7 +784,7 @@ fn differential_context_reuse_many_candidates() {
     for seed in 0..20u64 {
         let mut rng = StdRng::seed_from_u64(6000 + seed);
         let edb = random_edb(&mut rng);
-        let ctx = Evaluator::from_database(&edb);
+        let ctx = Evaluator::new(edb.clone());
         for k in 0..10 {
             let program = random_stratified_program(&mut rng);
             let via_context = ctx.eval(&program).expect("context evaluates");
